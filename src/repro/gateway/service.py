@@ -19,11 +19,24 @@ The service owns everything stateful about serving clients:
   (with a final eviction notice) rather than allowed to grow gateway
   memory without bound;
 * **reads** — executed state and chain history served from replica
-  ``SnapshotRequest`` replies, *without touching consensus*: the
-  service keeps the freshest snapshot per replica, picks the digest
-  supported by the most replicas (ties to the longest chain), and
-  replays it once into a :class:`~repro.smr.kvstore.KVStore` that
-  point-reads are answered from.
+  ``SnapshotRequest`` replies, *without touching consensus*.  The
+  service keeps one verified finalized chain and its replayed
+  :class:`~repro.smr.kvstore.KVStore`, and each refresh asks only for
+  the suffix above that chain's height.  It groups the replies by the
+  ``(state digest, height, tip block)`` they claim — the tip's digest
+  commits to the whole chain below it — and takes the widest group at
+  or above its own height, ties to the greater height.  Only a group of
+  at least f+1 replicas, so at least one honest one, moves the served
+  state, and only if the supporter's suffix starts at the chain's tip,
+  every parent pointer links, and applying the new blocks lands exactly
+  on the supported digest.  A round without such a group (replicas at
+  scattered heights, or agreeing below the tip) changes nothing.  A
+  round whose group fails verification — an unlinked anchor, a replay
+  that misses the digest or raises — keeps the last verified state in
+  service and makes the next refresh a full resync from height 0,
+  which replays the whole chain and must still contain the tip already
+  served.  The served history therefore only ever grows, and every
+  state served replayed to a digest f+1 replicas vouched for.
 """
 
 from __future__ import annotations
@@ -36,11 +49,13 @@ from repro.config import repro_config
 from repro.gateway.ratelimit import AdmissionController
 from repro.metrics.smr_trackers import nearest_rank_percentiles
 from repro.multishot.batching import AdaptiveBatchPolicy
+from repro.multishot.block import GENESIS_DIGEST, Block, extends
 from repro.net.client import AckCorrelator, ReplicaPool
 from repro.net.codec import CollectReply, CommitAck
 from repro.obs import CommitPathTracer, MetricsRegistry, items_to_dict
+from repro.smr.kvstore import KVCommandError, KVStore
 from repro.smr.mempool import Transaction
-from repro.verification.audit import replay_chain
+from repro.verification.audit import apply_blocks, replay_chain
 
 #: Queue sentinel delivered to a subscriber that fell too far behind.
 EVICTED = object()
@@ -224,11 +239,17 @@ class GatewayService:
         self._flush_handle: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._snapshot_task: asyncio.Task | None = None
-        self._snapshots: dict[int, CollectReply] = {}
-        self._chosen: CollectReply | None = None
-        self._chosen_support = 0
-        self._replay_cache_key: tuple[str, int] | None = None
-        self._replay_store = None
+        # The read path's verified state: a finalized chain, its replay
+        # (``None`` until the first snapshot verifies), the txids that
+        # replay executed, and the digest it reached.  ``_synced`` is
+        # False after a failed refresh: the next one resyncs from 0.
+        self._chain: list[Block] = []
+        self._store: KVStore | None = None
+        self._seen: set[str] = set()
+        self._digest = ""
+        self._synced = False
+        self._support = 0
+        self._source = -1
         self.started_at: float | None = None
         # Monotonic counters the metrics endpoint reports, living on
         # the gateway's own registry (``/v1/metrics`` is a view of it).
@@ -393,63 +414,121 @@ class GatewayService:
                 continue
 
     async def refresh_snapshots(self, timeout: float | None = None) -> int:
-        """Pull a fresh snapshot from every live replica; returns the
-        support count of the chosen snapshot."""
-        replies = await self.pool.snapshot(timeout)
-        self._snapshots.update(replies)
+        """Pull every live replica's finalized suffix above the verified
+        height (the full chain when resyncing) and fold it in; returns
+        the support count of the snapshot adopted, 0 if none was."""
+        from_height = len(self._chain) if self._synced else 0
+        replies = await self.pool.snapshot(timeout, from_height=from_height)
         self.counters["snapshot_refreshes"] += 1
-        return self._choose_snapshot()
+        return self.ingest_snapshots(replies, from_height)
 
-    def ingest_snapshots(self, replies: dict[int, CollectReply]) -> int:
-        """Feed externally collected snapshots (tests, offline replay)."""
-        self._snapshots.update(replies)
-        return self._choose_snapshot()
+    def ingest_snapshots(self, replies: dict[int, CollectReply], from_height: int = 0) -> int:
+        """Fold in one round of replies to ``SnapshotRequest(from_height)``.
 
-    def _choose_snapshot(self) -> int:
-        """Pick the snapshot whose state digest has the widest replica
-        support; ties break to the longer chain.  With at least f+1
-        supporters the digest is vouched for by an honest replica."""
-        if not self._snapshots:
+        Picks the widest-supported ``(digest, height, tip)`` at or above
+        the served height, ties to the greater height, and adopts it if
+        at least f+1 replicas support it and it verifies (see the module
+        docstring).  Returns the adopted support, or 0 when the round
+        changed nothing.
+        """
+        if not replies:
             return 0
-        support: dict[tuple[str, int], list[CollectReply]] = {}
-        for reply in self._snapshots.values():
-            support.setdefault((reply.state_digest, len(reply.chain)), []).append(reply)
-        (digest, _length), group = max(
-            support.items(), key=lambda item: (len(item[1]), item[0][1])
+        if from_height and (not self._synced or from_height != len(self._chain)):
+            return 0  # answers a request made before the chain last moved
+        groups: dict[tuple[str, int, str], list[CollectReply]] = {}
+        for reply in replies.values():
+            chain = reply.chain
+            if not isinstance(chain, tuple) or (from_height and not chain):
+                continue  # malformed, or the replica is below the requester's height
+            # A suffix reply starts at position from_height - 1.
+            height = len(chain) + max(from_height - 1, 0)
+            if height < len(self._chain):
+                continue  # lag is no evidence against the served tip
+            tip = getattr(chain[-1], "digest", None) if chain else GENESIS_DIGEST
+            groups.setdefault((reply.state_digest, height, tip), []).append(reply)
+        if not groups:
+            return 0
+        (digest, _height, _tip), group = max(
+            groups.items(), key=lambda item: (len(item[1]), item[0][1])
         )
-        self._chosen = group[0]
-        self._chosen_support = len(group)
-        key = (digest, len(self._chosen.chain))
-        if key != self._replay_cache_key:
-            self._replay_store = replay_chain(tuple(self._chosen.chain))
-            self._replay_cache_key = key
-        return self._chosen_support
+        if len(group) < self.config.ack_quorum:
+            return 0  # no claim an honest replica is known to make
+        # Supporters agree on the tip digest, so every chain that links
+        # is the same chain; one that does not came from a faulty
+        # supporter, and the next one gets its turn.
+        for reply in group:
+            if self._adopt(reply.chain, digest, from_height):
+                self._synced = True
+                self._support = len(group)
+                self._source = reply.node_id
+                return self._support
+        self._synced = False
+        return 0
+
+    def _adopt(self, blocks: tuple, digest: str, from_height: int) -> bool:
+        """Extend the verified chain with ``blocks`` if they link to its
+        tip and replay to ``digest``; on failure nothing served changes."""
+        chain = self._chain
+        if not from_height:
+            # Full resync: the whole chain must link from genesis, keep
+            # the tip already served, and replay to the digest.
+            if not extends(GENESIS_DIGEST, blocks):
+                return False
+            if chain and blocks[len(chain) - 1].digest != chain[-1].digest:
+                return False
+            try:
+                store = replay_chain(blocks)
+            except KVCommandError:
+                return False
+            if store.state_digest() != digest:
+                return False
+            self._chain, self._store, self._digest = list(blocks), store, digest
+            self._seen = set(store.applied_txids)
+            return True
+        suffix = blocks[1:]
+        if blocks[0] != chain[-1] or not extends(chain[-1].digest, suffix):
+            return False
+        if not suffix:
+            return digest == self._digest
+        try:
+            apply_blocks(self._store, self._seen, suffix)
+            applied = self._store.state_digest() == digest
+        except KVCommandError:
+            applied = False
+        if not applied:
+            # Roll the store back to the last verified chain.
+            self._store = replay_chain(tuple(chain))
+            self._seen = set(self._store.applied_txids)
+            return False
+        chain.extend(suffix)
+        self._digest = digest
+        return True
 
     @property
     def has_snapshot(self) -> bool:
-        return self._chosen is not None
+        return self._store is not None
 
     def read_state(self, key: str) -> StateView:
-        """Point-read from the replayed majority snapshot."""
-        if self._chosen is None or self._replay_store is None:
+        """Point-read from the verified snapshot."""
+        if self._store is None:
             raise SnapshotUnavailable("no replica snapshot ingested yet")
         missing = object()
-        value = self._replay_store.get(key, missing)
-        chain = self._chosen.chain
+        value = self._store.get(key, missing)
+        chain = self._chain
         return StateView(
             value=None if value is missing else value,
             found=value is not missing,
             tip_slot=chain[-1].slot if chain else 0,
             chain_length=len(chain),
-            supported_by=self._chosen_support,
-            replica=self._chosen.node_id,
+            supported_by=self._support,
+            replica=self._source,
         )
 
     def chain_history(self, start: int = 0, limit: int = 50) -> dict:
-        """Finalized chain summary from the majority snapshot."""
-        if self._chosen is None:
+        """Finalized chain summary from the verified snapshot."""
+        if self._store is None:
             raise SnapshotUnavailable("no replica snapshot ingested yet")
-        chain = self._chosen.chain
+        chain = self._chain
         blocks = []
         for block in chain:
             if block.slot < start:
@@ -468,7 +547,7 @@ class GatewayService:
         return {
             "height": len(chain),
             "tip": chain[-1].digest if chain else None,
-            "supported_by": self._chosen_support,
+            "supported_by": self._support,
             "blocks": blocks,
         }
 

@@ -51,6 +51,23 @@ class Block:
         return 8 + 2 * 16 + payload_size
 
 
+def extends(parent: Digest, blocks) -> bool:
+    """Whether ``blocks`` form a hash-linked run on top of ``parent``.
+
+    Every element must be a :class:`Block` whose digest recomputes from
+    its content and whose parent pointer names its predecessor (the
+    first names ``parent``) — a received chain fragment proves its own
+    linkage rather than trusting the digests it claims.
+    """
+    for block in blocks:
+        if not isinstance(block, Block) or block.parent != parent:
+            return False
+        if _compute_digest(block.slot, block.parent, block.payload) != block.digest:
+            return False
+        parent = block.digest
+    return True
+
+
 class BlockStore:
     """Blocks a node has seen, indexed by digest, with ancestry queries.
 

@@ -138,6 +138,10 @@ class ReplicaConnection:
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.dead = False
+        #: Requests sent on this connection whose replies have not
+        #: arrived.  A replica answers requests in order, so while this
+        #: is above 1 the next reply belongs to an abandoned request.
+        self.unanswered = 0
         self._task: asyncio.Task | None = None
 
     async def connect(self, timeout: float) -> None:
@@ -155,9 +159,12 @@ class ReplicaConnection:
                 await asyncio.sleep(0.05)
         self._task = asyncio.ensure_future(self._read_loop())
 
-    def send_frame(self, frame: bytes) -> None:
-        if self.writer is not None and not self.writer.is_closing():
-            self.writer.write(frame)
+    def send_frame(self, frame: bytes) -> bool:
+        """Write ``frame`` if the connection is open; returns whether it did."""
+        if self.writer is None or self.writer.is_closing():
+            return False
+        self.writer.write(frame)
+        return True
 
     async def _read_loop(self) -> None:
         assert self.reader is not None
@@ -188,7 +195,8 @@ class ReplicaPool:
     ``addrs`` maps replica id → (host, client port).  Commit acks are
     dispatched to the ``on_ack(node_id, CommitAck)`` callback; replica
     deaths to ``on_death(node_id)``.  CollectReplies are correlated to
-    the :meth:`collect` / :meth:`snapshot` call that requested them.
+    the :meth:`collect` / :meth:`snapshot` call that requested them; a
+    late reply to a request its caller gave up on is dropped.
     """
 
     def __init__(
@@ -299,6 +307,13 @@ class ReplicaPool:
             if self.on_ack is not None:
                 self.on_ack(node_id, message)
         elif isinstance(message, (CollectReply, MetricsReply)):
+            conn = self._conns[node_id]
+            conn.unanswered = max(conn.unanswered - 1, 0)
+            if conn.unanswered:
+                # The reply to a request whose caller timed out or was
+                # cancelled: handing it to the current waiter would
+                # answer, say, a collect with an incremental snapshot.
+                return
             waiter = self._reply_waiters.get(node_id)
             if waiter is not None and not waiter.done():
                 waiter.set_result(message)
@@ -334,7 +349,8 @@ class ReplicaPool:
             self._reply_waiters = {conn.node_id: loop.create_future() for conn in targets}
             frame = self.codec.encode_frame(request)
             for conn in targets:
-                conn.send_frame(frame)
+                if conn.send_frame(frame):
+                    conn.unanswered += 1
             replies: dict[int, CollectReply] = {}
             deadline = time.monotonic() + timeout
             try:
@@ -353,10 +369,16 @@ class ReplicaPool:
                 self._reply_waiters = {}
             return replies
 
-    async def snapshot(self, timeout: float | None = None) -> dict[int, CollectReply]:
+    async def snapshot(
+        self, timeout: float | None = None, from_height: int = 0
+    ) -> dict[int, CollectReply]:
         """Read-path snapshot: current chain/state from every live
-        replica, *without* shutting anything down."""
-        return await self._request_replies(SnapshotRequest(), timeout)
+        replica, *without* shutting anything down.
+
+        ``from_height`` > 0 asks for the incremental reply: the chain
+        suffix from the caller's tip block at that height onward (see
+        :class:`~repro.net.codec.SnapshotRequest`)."""
+        return await self._request_replies(SnapshotRequest(from_height), timeout)
 
     async def scrape(self, timeout: float | None = None) -> dict[int, MetricsReply]:
         """In-band metrics scrape: every live replica's obs-registry

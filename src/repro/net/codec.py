@@ -60,7 +60,9 @@ from repro.errors import ReproError
 #: cpu_seconds, run_seconds, flush_stats, recovered_blocks) collapsed
 #: into one sorted ``metrics`` payload of (name, value) pairs drawn
 #: from the replica's obs registry.
-WIRE_VERSION = 5
+#: v6: SnapshotRequest gained ``from_height`` — the gateway's read path
+#: pulls only the finalized suffix above the height it already holds.
+WIRE_VERSION = 6
 
 #: First byte of every frame body; guards against a stray TCP client.
 MAGIC = 0xB7
@@ -450,7 +452,17 @@ class SnapshotRequest:
     The gateway's read path: same :class:`CollectReply` shape as the
     terminal collect, but the replica stays in consensus — reads are
     served from finalized snapshots without touching the protocol.
+
+    ``from_height`` is the length of the finalized chain the requester
+    already holds.  At 0 the reply is the full collect evidence; above
+    0 it is incremental: ``chain`` starts at the requester's tip block
+    (position ``from_height - 1``, the linkage anchor) and runs to the
+    replica's tip, ``applied_txids`` and ``metrics`` are empty, and
+    ``state_digest`` is the replica's live digest.  A replica whose
+    chain is shorter than ``from_height`` answers with an empty chain.
     """
+
+    from_height: int = 0
 
 
 @dataclass(frozen=True)
@@ -478,6 +490,12 @@ class CollectReply:
     sorted tuple of ``(name, value)`` pairs (see
     :meth:`repro.obs.MetricsRegistry.snapshot_items`).  One payload,
     one shape, shared with :class:`MetricsReply`.
+
+    The same type answers a :class:`SnapshotRequest`.  An incremental
+    answer (``from_height > 0``) carries only the chain suffix from the
+    requester's tip block onward and the live state digest, which the
+    gateway verifies by hash linkage and replay; its ``applied_txids``
+    and ``metrics`` are empty.
     """
 
     node_id: int

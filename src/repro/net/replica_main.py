@@ -15,7 +15,8 @@ server:
   submission coalescing — many client submissions, one frame);
 * ``SnapshotRequest`` answers with the same ``CollectReply`` evidence
   as a collect but keeps the replica in consensus — the gateway's read
-  path serves executed state from these snapshots;
+  path serves executed state from these snapshots, asking with
+  ``from_height`` for only the finalized suffix above what it holds;
 * every executed transaction is acknowledged to connected clients with
   a ``CommitAck`` (the driver's wall-clock latency sample);
 * ``CollectRequest`` answers with a ``CollectReply`` carrying the
@@ -55,6 +56,7 @@ from repro.net.codec import (
 from repro.net.client import REFERENCE_TIME_SCALE
 from repro.net.transport import LinkLatency, NetContext, NetTransport, install_uvloop
 from repro.obs import CommitPathTracer, EventLog, MetricsRegistry
+from repro.sim.trace import TraceKind
 from repro.smr.engine import engine_factory
 from repro.smr.mempool import Transaction
 from repro.smr.replica import Replica
@@ -161,7 +163,14 @@ class _AckingTrackers(SMRTrackers):
 
 
 class _ObsNetContext(NetContext):
-    """NetContext that counts view entries and logs them as events."""
+    """NetContext that counts view changes and logs them as events.
+
+    Engines enter views either through ``report_view_entry`` (which
+    traces ``VIEW_ENTER``) or by tracing ``VIEW_ENTER`` themselves —
+    multishot TetraBFT and the chained baselines do, once per slot — so
+    the trace is the one hook every view entry passes.  Entering any
+    view above 0 is a view change.
+    """
 
     def __init__(self, node_id, transport, time_scale, registry, events) -> None:
         super().__init__(node_id, transport, time_scale)
@@ -169,13 +178,15 @@ class _ObsNetContext(NetContext):
         self._view = registry.gauge("consensus.view")
         self._events = events
 
-    def report_view_entry(self, view: int) -> None:
-        super().report_view_entry(view)
+    def trace(self, kind: TraceKind, **detail: object) -> None:
+        super().trace(kind, **detail)
+        view = detail.get("view", 0)
+        if kind is not TraceKind.VIEW_ENTER or view <= 0:
+            return
         if view > self._view.value:
             self._view.set(view)
-        if view > 0:
-            self._view_changes.inc()
-        self._events.emit("view_enter", view=view)
+        self._view_changes.inc()
+        self._events.emit("view_enter", view=view, slot=detail.get("slot", -1))
 
 
 class ReplicaProcess:
@@ -344,6 +355,26 @@ class ReplicaProcess:
             metrics=self._metrics_items(),
         )
 
+    def _snapshot_reply(self, from_height: int) -> CollectReply:
+        """Answer a read-path ``SnapshotRequest``.
+
+        From height 0 this is the full collect evidence.  Above it, only
+        the finalized blocks from the requester's tip (position
+        ``from_height - 1``, the linkage anchor) onward travel, with the
+        live state digest the requester verifies its replay against.
+        """
+        if from_height <= 0:
+            return self._collect_reply()
+        replica = self.replica
+        return CollectReply(
+            node_id=self.spec.node_id,
+            chain=tuple(replica.finalized_chain[from_height - 1 :]),
+            state_digest=replica.state_digest(),
+            applied_txids=(),
+            blocks_applied=self.trackers.throughput.blocks_applied(self.spec.node_id),
+            txns_applied=self.trackers.throughput.txns_applied(self.spec.node_id),
+        )
+
     # -- state-transfer catch-up ----------------------------------------------
 
     def _finalized_height(self) -> int:
@@ -490,7 +521,8 @@ class ReplicaProcess:
                     elif isinstance(message, SnapshotRequest):
                         # Read path: answer with the same evidence shape
                         # as a collect, but stay in consensus.
-                        writer.write(self.codec.encode_frame(self._collect_reply()))
+                        reply = self._snapshot_reply(message.from_height)
+                        writer.write(self.codec.encode_frame(reply))
                         await writer.drain()
                     elif isinstance(message, CollectRequest):
                         # Dump forensics BEFORE answering: the driver

@@ -71,6 +71,7 @@ class WindowedHistogram:
 
     def __post_init__(self) -> None:
         self._samples = deque(maxlen=self.maxlen)
+        self._created = self.clock()
 
     def record(self, value: float, at: float | None = None) -> None:
         self._samples.append((self.clock() if at is None else at, float(value)))
@@ -87,8 +88,17 @@ class WindowedHistogram:
 
     @property
     def rate(self) -> float:
-        """Events per second over the window."""
-        return len(self._live()) / self.window if self.window > 0 else 0.0
+        """Events per second over the part of the window observed so far."""
+        return self._rate(len(self._live()))
+
+    def _rate(self, count: int) -> float:
+        # An instrument younger than its window has only watched for
+        # its age: dividing by the whole window would understate every
+        # rate read in the first ``window`` seconds.  Before any time
+        # has passed the full window stands in.
+        age = self.clock() - self._created
+        span = min(self.window, age) if age > 0 else self.window
+        return count / span if span > 0 else 0.0
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile of the windowed samples (0 if empty)."""
@@ -105,7 +115,7 @@ class WindowedHistogram:
         n = len(live)
         return {
             "count": float(n),
-            "rate": n / self.window if self.window > 0 else 0.0,
+            "rate": self._rate(n),
             "mean": sum(live) / n,
             "p50": live[max(1, -(-n * 50 // 100)) - 1],
             "p95": live[max(1, -(-n * 95 // 100)) - 1],

@@ -114,6 +114,8 @@ class DiskStorage:
     # -- write path -----------------------------------------------------------
 
     def block_executed(self, block, replica) -> None:
+        if self.wal.closed:
+            return  # closed at shutdown: neither log nor snapshot
         self.wal.append_block(block)
         self._since_snapshot += 1
         if self._since_snapshot >= self.snapshot_interval:

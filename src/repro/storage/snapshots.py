@@ -28,7 +28,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
+from repro.multishot.block import GENESIS_DIGEST, extends
 from repro.net.codec import WIRE_CODEC, CodecError, SnapshotImage
 
 #: Snapshot file name inside a replica's data dir.
@@ -82,19 +82,12 @@ def write_snapshot(path: str | Path, image: SnapshotImage) -> None:
 def validate_snapshot(image: SnapshotImage) -> bool:
     """Whether ``image`` is internally consistent (see module docs)."""
     chain = image.chain
-    if not chain or image.tip_slot != chain[-1].slot or image.tip_digest != chain[-1].digest:
+    if not chain or not extends(GENESIS_DIGEST, chain):
         return False
-    parent = GENESIS_DIGEST
-    expected_slot = 1
-    for block in chain:
-        if not isinstance(block, Block):
-            return False
-        if block.slot != expected_slot or block.parent != parent:
-            return False
-        if _compute_digest(block.slot, block.parent, block.payload) != block.digest:
-            return False
-        parent = block.digest
-        expected_slot += 1
+    if [block.slot for block in chain] != list(range(1, len(chain) + 1)):
+        return False
+    if image.tip_slot != chain[-1].slot or image.tip_digest != chain[-1].digest:
+        return False
     return state_digest_of(image.kv_items, image.applied_txids) == image.state_digest
 
 

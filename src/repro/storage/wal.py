@@ -130,7 +130,13 @@ class WriteAheadLog:
         self.flush()
         return record
 
+    @property
+    def closed(self) -> bool:
+        return self._file.closed
+
     def _append(self, record: WalAppend | WalSeal) -> None:
+        if self.closed:
+            return  # shut down: a late finalization is not logged
         WIRE_CODEC.encode_frame_into(record, self._pending)
         self._pending_count += 1
         if self._pending_count >= self.policy.limit:
@@ -169,6 +175,8 @@ class WriteAheadLog:
         self._pending_count = 0
 
     def close(self) -> None:
+        """Flush, then close for good: later appends are dropped and arm
+        no group-commit timer, so nothing writes to the closed file."""
         self.flush()
         self._file.close()
 

@@ -108,8 +108,20 @@ def replay_chain(chain: tuple[Block, ...]) -> KVStore:
     live digest means the execution path and the ledger disagree.
     """
     store = KVStore()
-    seen: set[str] = set()
-    for block in chain:
+    apply_blocks(store, set(), chain)
+    return store
+
+
+def apply_blocks(store: KVStore, seen: set[str], blocks) -> None:
+    """Execute ``blocks`` on ``store`` in chain order, first execution wins.
+
+    ``seen`` holds the txids already executed on ``store`` and grows
+    with every transaction applied, so a chain can be replayed in
+    pieces — the gateway's incremental read path extends one store
+    suffix by suffix and ends where :func:`replay_chain` of the whole
+    chain would.
+    """
+    for block in blocks:
         payload = block.payload
         if not isinstance(payload, tuple):
             continue
@@ -118,7 +130,6 @@ def replay_chain(chain: tuple[Block, ...]) -> KVStore:
                 continue
             seen.add(txn.txid)
             store.apply(txn.txid, txn.op)
-    return store
 
 
 class SafetyAuditor:

@@ -8,8 +8,12 @@ arithmetic, quorum arithmetic and eviction policy are pinned exactly.
 from __future__ import annotations
 
 import asyncio
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway.ratelimit import (
     AdmissionController,
@@ -31,9 +35,9 @@ from repro.net.codec import (
     CommitAck,
     MetricsReply,
 )
-from repro.smr.kvstore import KVStore
-from repro.smr.mempool import Transaction
 from repro.multishot.block import GENESIS_DIGEST, Block
+from repro.smr.mempool import Transaction
+from repro.verification.audit import replay_chain
 
 
 class FakeClock:
@@ -48,7 +52,12 @@ class FakeClock:
 
 
 class StubPool:
-    """Records submissions; snapshot() serves canned replies."""
+    """Records submissions; snapshot() serves canned replies.
+
+    Canned replies are full (``from_height=0``) collect evidence; a
+    request from a positive height gets what a replica sends — the
+    chain from the requester's tip block onward and no applied log.
+    """
 
     def __init__(self, n: int = 4) -> None:
         self.live = set(range(n))
@@ -56,6 +65,7 @@ class StubPool:
         self.on_death = None
         self.sent: list[object] = []
         self.canned_snapshots: dict[int, CollectReply] = {}
+        self.snapshot_heights: list[int] = []
         self.canned_scrapes: dict[int, MetricsReply] = {}
         self.scrape_error: Exception | None = None
         self.started = False
@@ -72,8 +82,16 @@ class StubPool:
         elif txns:
             self.sent.append(ClientSubmitBatch(tuple(txns)))
 
-    async def snapshot(self, timeout=None) -> dict[int, CollectReply]:
-        return dict(self.canned_snapshots)
+    async def snapshot(self, timeout=None, from_height=0) -> dict[int, CollectReply]:
+        self.snapshot_heights.append(from_height)
+        if not from_height:
+            return dict(self.canned_snapshots)
+        return {
+            node_id: replace(
+                reply, chain=reply.chain[from_height - 1 :], applied_txids=(), metrics=()
+            )
+            for node_id, reply in self.canned_snapshots.items()
+        }
 
     async def scrape(self, timeout=None) -> dict[int, MetricsReply]:
         if self.scrape_error is not None:
@@ -404,17 +422,15 @@ def _chain(*ops: tuple) -> tuple[Block, ...]:
 
 
 def _reply(node_id: int, chain: tuple[Block, ...]) -> CollectReply:
-    store = KVStore()
-    for block in chain:
-        for txn in block.payload:
-            store.apply(txn.txid, txn.op)
+    """An honest replica's full reply."""
+    store = replay_chain(chain)
     return CollectReply(
         node_id=node_id,
         chain=chain,
         state_digest=store.state_digest(),
-        applied_txids=tuple(txn.txid for block in chain for txn in block.payload),
+        applied_txids=tuple(store.applied_txids),
         blocks_applied=len(chain),
-        txns_applied=len(chain),
+        txns_applied=store.applied_count,
     )
 
 
@@ -469,6 +485,322 @@ def test_chain_history_reports_slots_and_txids():
     assert history["tip"] == chain[-1].digest
     assert [block["slot"] for block in history["blocks"]] == [1]
     assert history["blocks"][0]["txids"] == ["c1"]
+
+
+# -- incremental verified read path -------------------------------------------
+
+_KEYS = ("a", "b", "c", "d")
+
+
+def _random_chain(rng: random.Random, length: int) -> tuple[Block, ...]:
+    """A linked chain from slot 1 over a small keyspace: some blocks are
+    empty and some transactions recur in later blocks (first execution
+    wins), the shapes a live replica's chain has."""
+    pool = []
+    for i in range(2 * length + 1):
+        key = rng.choice(_KEYS)
+        op = rng.choice(
+            [("set", key, rng.randrange(100)), ("incr", key, rng.randrange(1, 5)), ("del", key)]
+        )
+        pool.append(Transaction(txid=f"r{i}", op=op))
+    blocks: list[Block] = []
+    parent = GENESIS_DIGEST
+    for slot in range(1, length + 1):
+        payload = tuple(rng.sample(pool, rng.randrange(0, 4)))
+        block = Block.create(slot=slot, parent=parent, payload=payload)
+        blocks.append(block)
+        parent = block.digest
+    return tuple(blocks)
+
+
+def _assert_serves_replay_of(service: GatewayService, chain: tuple[Block, ...]) -> None:
+    """Reads, history and the store digest equal ``replay_chain(chain)``."""
+    expected = replay_chain(chain)
+    items = dict(expected.items())
+    for key in _KEYS:
+        view = service.read_state(key)
+        assert (view.found, view.value) == (key in items, items.get(key))
+        assert view.chain_length == len(chain)
+    history = service.chain_history(limit=len(chain) + 1)
+    assert history["height"] == len(chain)
+    assert [b["digest"] for b in history["blocks"]] == [b.digest for b in chain]
+    assert [b["txids"] for b in history["blocks"]] == [[t.txid for t in b.payload] for b in chain]
+    assert service._store.state_digest() == expected.state_digest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_incremental_reads_equal_a_full_replay_over_random_schedules(seed):
+    """Random chains, random refresh schedules — replicas advancing at
+    different paces, a laggard that sometimes misses a round, a replica
+    restarted onto a shorter chain, rounds where only two replicas
+    answer (1–1 ties) — and after every refresh the gateway serves
+    exactly ``replay_chain`` of a prefix of the chain, never a shorter
+    one than before, and asks for the suffix above it or resyncs."""
+    rng = random.Random(seed)
+    canon = _random_chain(rng, rng.randrange(1, 13))
+    top = len(canon)
+
+    async def scenario():
+        service, pool, _clock = _service(n=4)
+        heights = [0, 0, 0, 0]
+        served = 0
+
+        async def refresh(responders):
+            nonlocal served
+            pool.canned_snapshots = {i: _reply(i, canon[: heights[i]]) for i in responders}
+            await service.refresh_snapshots()
+            assert pool.snapshot_heights[-1] in (0, served)
+            if service.has_snapshot:
+                height = service.chain_history()["height"]
+                assert height >= served, "the served history went backwards"
+                served = height
+                _assert_serves_replay_of(service, canon[:served])
+
+        for _round in range(8):
+            for i in (0, 1):
+                heights[i] = min(top, heights[i] + rng.randrange(0, 4))
+            heights[2] = min(top, heights[2] + rng.randrange(0, 2))  # the laggard
+            if rng.random() < 0.2:
+                heights[3] = rng.randrange(0, heights[3] + 1)  # restarted, shorter
+            else:
+                heights[3] = min(top, heights[3] + rng.randrange(0, 4))
+            roll = rng.random()
+            if roll < 0.2:
+                responders = rng.sample(range(4), 2)  # two answers: often a 1-1 tie
+            elif roll < 0.4:
+                responders = [0, 1, 3]  # the laggard missed the round
+            else:
+                responders = range(4)
+            await refresh(responders)
+        heights[:] = [top] * 4
+        await refresh(range(4))
+        await refresh(range(4))  # nothing new: the anchor alone re-verifies
+        assert served == top
+        assert pool.snapshot_heights[-1] == top
+
+    asyncio.run(scenario())
+
+
+def test_refresh_asks_for_the_suffix_above_the_verified_height():
+    async def scenario():
+        service, pool, _clock = _service(n=4)
+        canon = _random_chain(random.Random(7), 6)
+        pool.canned_snapshots = {i: _reply(i, canon[:3]) for i in range(4)}
+        assert await service.refresh_snapshots() == 4
+        # Two replicas at 4, two at 5: the tie goes to the greater height.
+        pool.canned_snapshots = {i: _reply(i, canon[: 4 + i % 2]) for i in range(4)}
+        assert await service.refresh_snapshots() == 2
+        assert pool.snapshot_heights == [0, 3]
+        _assert_serves_replay_of(service, canon[:5])
+
+    asyncio.run(scenario())
+
+
+def test_a_round_answering_an_older_height_is_ignored():
+    """Two refreshes can overlap; replies to a request made before the
+    other one moved the chain are neither adopted nor a failure."""
+    canon = _random_chain(random.Random(5), 6)
+    service, pool = _synced_service(canon, 4)
+    stale = {i: _suffix_reply(i, canon[2:6], _digest(canon)) for i in range(4)}
+    assert service.ingest_snapshots(stale, from_height=3) == 0
+    _assert_serves_replay_of(service, canon[:4])
+    pool.canned_snapshots = {i: _reply(i, canon) for i in range(4)}
+    assert asyncio.run(service.refresh_snapshots()) == 4
+    assert pool.snapshot_heights[-1] == 4  # still synced: no resync
+    _assert_serves_replay_of(service, canon)
+
+
+def _synced_service(canon: tuple[Block, ...], height: int) -> tuple[GatewayService, StubPool]:
+    service, pool, _clock = _service(n=4)
+    pool.canned_snapshots = {i: _reply(i, canon[:height]) for i in range(4)}
+    asyncio.run(service.refresh_snapshots())
+    _assert_serves_replay_of(service, canon[:height])
+    return service, pool
+
+
+def _digest(chain: tuple[Block, ...]) -> str:
+    return replay_chain(chain).state_digest()
+
+
+def _suffix_reply(node_id: int, blocks: tuple[Block, ...], digest: str) -> CollectReply:
+    """An incremental reply: ``blocks`` from the anchor on, claiming ``digest``."""
+    return CollectReply(node_id, blocks, digest, (), blocks_applied=0, txns_applied=0)
+
+
+def _assert_rejected(service, pool, canon, height, replies, from_height) -> None:
+    """The round changes nothing served and the next request resyncs."""
+    assert service.ingest_snapshots(replies, from_height) == 0
+    _assert_serves_replay_of(service, canon[:height])
+    pool.canned_snapshots = {}
+    asyncio.run(service.refresh_snapshots())
+    assert pool.snapshot_heights[-1] == 0
+
+
+def _fork_at(canon: tuple[Block, ...], index: int) -> tuple[Block, ...]:
+    """``canon`` up to ``index``, then a different block there and after."""
+    forked = list(canon[:index])
+    parent = forked[-1].digest if forked else GENESIS_DIGEST
+    for slot in range(index + 1, len(canon) + 1):
+        block = Block.create(
+            slot=slot, parent=parent, payload=(Transaction(f"fork{slot}", ("set", "a", -slot)),)
+        )
+        forked.append(block)
+        parent = block.digest
+    return tuple(forked)
+
+
+def test_an_unlinked_anchor_is_rejected_and_forces_a_resync():
+    canon = _random_chain(random.Random(11), 6)
+    service, pool = _synced_service(canon, 3)
+    # A different block at the gateway's tip, and a digest that applying
+    # the rest of the fork on the gateway's own state would reach.
+    forked = _fork_at(canon, 2)
+    replies = {
+        i: _suffix_reply(i, forked[2:5], _digest(canon[:3] + forked[3:5])) for i in range(3)
+    }
+    _assert_rejected(service, pool, canon, 3, replies, from_height=3)
+    # A suffix whose anchor is the tip but whose next block names
+    # another parent does not link either.
+    service, pool = _synced_service(canon, 3)
+    unlinked = (canon[2], replace(canon[3], parent=forked[2].digest))
+    replies = {i: _suffix_reply(i, unlinked, _digest(canon[:4])) for i in range(3)}
+    _assert_rejected(service, pool, canon, 3, replies, from_height=3)
+    # The resync itself will not drop the served tip for a fork.
+    pool.canned_snapshots = {i: _reply(i, forked[:5]) for i in range(3)}
+    assert asyncio.run(service.refresh_snapshots()) == 0
+    _assert_serves_replay_of(service, canon[:3])
+
+
+def test_a_suffix_replaying_to_another_digest_is_rejected_and_rolled_back():
+    canon = _random_chain(random.Random(13), 6)
+    service, pool = _synced_service(canon, 3)
+    # The linked, honest suffix, claiming a digest its replay misses.
+    assert _digest(canon[:4]) != _digest(canon[:5])
+    replies = {i: _suffix_reply(i, canon[2:5], _digest(canon[:4])) for i in range(3)}
+    _assert_rejected(service, pool, canon, 3, replies, from_height=3)
+    # The full resync then catches up to the honest majority.
+    pool.canned_snapshots = {i: _reply(i, canon[:5]) for i in range(4)}
+    assert asyncio.run(service.refresh_snapshots()) == 4
+    assert pool.snapshot_heights[-1] == 0
+    _assert_serves_replay_of(service, canon[:5])
+
+
+def test_a_supported_height_below_the_tip_never_rolls_the_gateway_back():
+    """Lag is no evidence of corruption: replicas agreeing below the
+    served tip change nothing, and the next request stays incremental."""
+    canon = _random_chain(random.Random(17), 8)
+    service, pool = _synced_service(canon, 5)
+    lagging = _digest(canon[:3])
+    replies = {
+        0: _suffix_reply(0, (), lagging),  # two replicas below the tip agree
+        1: _suffix_reply(1, (), lagging),
+        2: _suffix_reply(2, canon[4:6], _digest(canon[:6])),
+        3: _suffix_reply(3, canon[4:7], _digest(canon[:7])),
+    }
+    assert service.ingest_snapshots(replies, from_height=5) == 0
+    _assert_serves_replay_of(service, canon[:5])
+    pool.canned_snapshots = {
+        0: _reply(0, canon[:3]),
+        1: _reply(1, canon[:3]),
+        2: _reply(2, canon[:6]),
+        3: _reply(3, canon[:7]),
+    }
+    assert asyncio.run(service.refresh_snapshots()) == 0
+    assert pool.snapshot_heights[-1] == 5
+    _assert_serves_replay_of(service, canon[:5])
+    # A full resync sees the same lagging pair: still no rollback.
+    service._synced = False
+    assert asyncio.run(service.refresh_snapshots()) == 0
+    assert pool.snapshot_heights[-1] == 0
+    _assert_serves_replay_of(service, canon[:5])
+    pool.canned_snapshots = {i: _reply(i, canon[:7]) for i in range(4)}
+    assert asyncio.run(service.refresh_snapshots()) == 4
+    _assert_serves_replay_of(service, canon[:7])
+    asyncio.run(service.refresh_snapshots())
+    assert pool.snapshot_heights[-1] == 7
+
+
+def test_a_lone_replica_cannot_move_the_served_state():
+    """Four replicas at four heights: the one claiming the greatest
+    height, with a fabricated but self-consistent chain, does not win
+    the 1-1-1-1 tie — only a claim f+1 replicas share moves the state."""
+    canon = _random_chain(random.Random(19), 8)
+    service, pool = _synced_service(canon, 3)
+    forged = _fork_at(canon, 3)
+    pool.canned_snapshots = {
+        0: _reply(0, forged),
+        1: _reply(1, canon[:4]),
+        2: _reply(2, canon[:5]),
+        3: _reply(3, canon[:6]),
+    }
+    assert asyncio.run(service.refresh_snapshots()) == 0
+    assert pool.snapshot_heights[-1] == 3  # nothing failed: still incremental
+    _assert_serves_replay_of(service, canon[:3])
+    # The same forger on the full-resync path fares no better.
+    service._synced = False
+    assert asyncio.run(service.refresh_snapshots()) == 0
+    _assert_serves_replay_of(service, canon[:3])
+    # Two honest replicas agreeing move the state past the forger.
+    pool.canned_snapshots[1] = _reply(1, canon[:6])
+    assert asyncio.run(service.refresh_snapshots()) == 2
+    _assert_serves_replay_of(service, canon[:6])
+    assert service.read_state("a").supported_by == 2
+
+
+def test_supporters_must_agree_on_the_tip_block():
+    """A faulty replica echoing the honest state digest and height over
+    a different, self-consistent chain (the same transactions in a block
+    of another slot) is not a second supporter of the honest claim."""
+    canon = _random_chain(random.Random(37), 5)
+    service, _pool = _synced_service(canon, 3)
+    twin = Block.create(slot=canon[3].slot + 10, parent=canon[2].digest, payload=canon[3].payload)
+    digest = _digest(canon[:4])
+    assert _digest(canon[:3] + (twin,)) == digest
+    replies = {
+        0: _suffix_reply(0, (canon[2], twin), digest),
+        1: _suffix_reply(1, canon[2:4], digest),
+    }
+    assert service.ingest_snapshots(replies, from_height=3) == 0
+    _assert_serves_replay_of(service, canon[:3])
+    replies[2] = _suffix_reply(2, canon[2:4], digest)
+    assert service.ingest_snapshots(replies, from_height=3) == 2
+    _assert_serves_replay_of(service, canon[:4])
+
+
+def test_a_supporter_with_a_broken_chain_is_passed_over():
+    """A faulty replica can echo the honest claim (digest, height, tip)
+    with a chain that does not link, or send something that is no chain;
+    the next supporter's chain is used and the round still moves the
+    state."""
+    canon = _random_chain(random.Random(29), 6)
+    service, _pool = _synced_service(canon, 3)
+    digest = _digest(canon[:6])
+    broken = (canon[2], replace(canon[3], payload=()), canon[4], canon[5])
+    replies = {0: _suffix_reply(0, broken, digest)}
+    replies.update({i: _suffix_reply(i, canon[2:6], digest) for i in (1, 2)})
+    replies[3] = _suffix_reply(3, 6, digest)  # not a chain at all: ignored
+    assert service.ingest_snapshots(replies, from_height=3) == 3
+    _assert_serves_replay_of(service, canon)
+    assert service.read_state("a").replica == 1
+
+
+def test_a_suffix_with_a_malformed_command_is_rolled_back():
+    """A replay that raises partway is a failed verification, not a
+    crash: the partly applied store is rolled back and the gateway
+    resyncs; a full chain carrying the command is refused the same way."""
+    canon = _random_chain(random.Random(23), 6)
+    service, pool = _synced_service(canon, 3)
+    payload = (Transaction("bad0", ("set", "a", "text")), Transaction("bad1", ("incr", "a", 1)))
+    bad = Block.create(slot=4, parent=canon[2].digest, payload=payload)
+    replies = {i: _suffix_reply(i, (canon[2], bad), _digest(canon[:3])) for i in range(3)}
+    _assert_rejected(service, pool, canon, 3, replies, from_height=3)
+    pool.canned_snapshots = {
+        i: _suffix_reply(i, canon[:3] + (bad,), _digest(canon[:3])) for i in range(4)
+    }
+    assert asyncio.run(service.refresh_snapshots()) == 0
+    assert pool.snapshot_heights[-1] == 0
+    _assert_serves_replay_of(service, canon[:3])
 
 
 def test_metrics_and_health_summarize_the_service():

@@ -1,17 +1,19 @@
 """The shared client repository layer: timeouts, correlation, the pool.
 
-In-process tests (fake replica servers on localhost sockets, no
+Mostly in-process tests (fake replica servers on localhost sockets, no
 subprocesses): the :mod:`repro.net.client` layer is what both the A7
 bench driver and the gateway stand on, so its contracts are pinned
 here — the ``time_scale`` → wall-clock timeout derivation, the
 ack-correlation bookkeeping, and the pool's broadcast / batch /
-snapshot / collect behaviour against scripted replicas.
+snapshot / collect behaviour against scripted replicas.  One test runs
+a real 4-replica cluster to pin what an incremental snapshot carries.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +25,8 @@ from repro.net.client import (
     ReplicaPool,
     scaled_timeout,
 )
-from repro.net.cluster import allocate_ports
+from repro.multishot.block import extends
+from repro.net.cluster import ClusterConfig, allocate_ports, cluster_processes, sized_max_slots
 from repro.net.codec import (
     WIRE_CODEC,
     ClientSubmit,
@@ -127,6 +130,8 @@ class FakeReplica:
         self.port = port
         self.received: list[object] = []
         self.server: asyncio.Server | None = None
+        #: Seconds a snapshot reply takes (replies still go out in order).
+        self.snapshot_delay = 0.0
 
     async def start(self) -> None:
         self.server = await asyncio.start_server(self._serve, HOST, self.port)
@@ -140,6 +145,8 @@ class FakeReplica:
                     break
                 for message in buffer.feed(data):
                     self.received.append(message)
+                    if isinstance(message, SnapshotRequest):
+                        await asyncio.sleep(self.snapshot_delay)
                     for reply in self._replies(message):
                         writer.write(WIRE_CODEC.encode_frame(reply))
                     await writer.drain()
@@ -157,11 +164,12 @@ class FakeReplica:
                 for txn in message.txns
             ]
         if isinstance(message, (SnapshotRequest, CollectRequest)):
+            kind = "digest" if isinstance(message, SnapshotRequest) else "collected"
             return [
                 CollectReply(
                     node_id=self.node_id,
                     chain=(),
-                    state_digest=f"digest-{self.node_id}",
+                    state_digest=f"{kind}-{self.node_id}",
                     applied_txids=(),
                     blocks_applied=0,
                     txns_applied=0,
@@ -256,6 +264,30 @@ def test_pool_snapshot_gathers_a_reply_per_replica_without_shutdown():
     asyncio.run(scenario())
 
 
+def test_pool_drops_the_late_reply_to_an_abandoned_request():
+    """A snapshot whose caller timed out is still answered, in order,
+    before the next request's reply; the pool must not hand that stale
+    reply to the next caller (a collect would get a snapshot)."""
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(2)
+        for replica in replicas:
+            replica.snapshot_delay = 0.2
+        pool = ReplicaPool(addrs)
+        await pool.connect()
+        assert await pool.snapshot(timeout=0.01) == {}
+        replies = await pool.collect(timeout=5.0)
+        assert {n: r.state_digest for n, r in replies.items()} == {
+            0: "collected-0",
+            1: "collected-1",
+        }
+        for replica in replicas:
+            replica.close()
+        pool.close()
+
+    asyncio.run(scenario())
+
+
 def test_pool_excluded_replica_gets_no_frames_and_no_collect():
     async def scenario():
         replicas, addrs = await _fake_cluster(3)
@@ -296,3 +328,43 @@ def test_pool_collect_skips_a_replica_that_dies_mid_request():
         pool.close()
 
     asyncio.run(scenario())
+
+
+def test_live_snapshot_from_a_height_carries_only_the_suffix():
+    """Against real replica processes: a ``from_height`` > 0 snapshot
+    is the finalized chain from the block at that height (the anchor)
+    onward — no prefix, no applied-txid log, no metrics — and the
+    live digest is the one a full snapshot reports for the same tip."""
+    config = ClusterConfig(n=4, engine="tetrabft", deadline=25.0)
+    config = replace(config, max_slots=sized_max_slots(config, 8))
+    txns = [Transaction(txid=f"live-{i}", op=("incr", "n", 1)) for i in range(8)]
+    acked: dict[str, set[int]] = {}
+
+    def on_ack(node_id, ack):
+        acked.setdefault(ack.txid, set()).add(node_id)
+
+    async def scenario(specs):
+        pool = ReplicaPool.from_specs(specs, time_scale=config.time_scale, on_ack=on_ack)
+        await pool.connect()
+        pool.start_run()
+        pool.submit_many(txns)
+        await _wait_for(lambda: all(len(acked.get(t.txid, ())) == 4 for t in txns), timeout=20.0)
+        full = await pool.snapshot()
+        height = min(len(reply.chain) for reply in full.values())
+        assert height >= 1
+        suffix = await pool.snapshot(from_height=height)
+        assert sorted(suffix) == [0, 1, 2, 3]
+        for node_id, reply in suffix.items():
+            anchor = full[node_id].chain[height - 1]
+            assert reply.chain[0] == anchor
+            assert extends(anchor.digest, reply.chain[1:])
+            assert reply.applied_txids == () and reply.metrics == ()
+            # Every transaction had executed, so the empty blocks since
+            # the full snapshot left the state digest where it was.
+            assert reply.state_digest == full[node_id].state_digest
+            assert len(full[node_id].applied_txids) == len(txns)
+        await pool.collect()
+        pool.close()
+
+    with cluster_processes(config) as (specs, _processes):
+        asyncio.run(scenario(specs))

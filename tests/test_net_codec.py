@@ -144,7 +144,7 @@ GENERATORS = {
         rng.randrange(0, 16), f"tx-{rng.randrange(1 << 20)}", rng.randrange(0, 500)
     ),
     CollectRequest: lambda rng: CollectRequest(),
-    SnapshotRequest: lambda rng: SnapshotRequest(),
+    SnapshotRequest: lambda rng: SnapshotRequest(from_height=rng.randrange(1, 1 << 20)),
     ClientSubmitBatch: lambda rng: ClientSubmitBatch(
         tuple(_txn(rng) for _ in range(rng.randrange(2, 9)))
     ),
@@ -292,19 +292,28 @@ def test_encoding_is_deterministic_across_codec_instances():
 
 
 def test_golden_frame_pins_the_wire_format():
-    """v5 bytes are a contract: changing them must bump WIRE_VERSION."""
-    assert WIRE_CODEC.encode(ViewChange(7)).hex() == "b7050024490000000000000007"
+    """v6 bytes are a contract: changing them must bump WIRE_VERSION."""
+    assert WIRE_CODEC.encode(ViewChange(7)).hex() == "b7060024490000000000000007"
     assert (
         WIRE_CODEC.encode_frame(MSVote(3, 1, "abcd")).hex()
-        == "0000001fb7050031490000000000000003490000000000000001530000000461626364"
+        == "0000001fb7060031490000000000000003490000000000000001530000000461626364"
     )
     # Aggregated frame: one envelope, two nested (C-tagged) messages.
     assert WIRE_CODEC.encode_frame(
         VoteBatch((MSVote(3, 1, "abcd"), MSViewChange(4, 2)))
     ).hex() == (
-        "0000003cb70500355500000002"
+        "0000003cb70600355500000002"
         "430031490000000000000003490000000000000001530000000461626364"
         "430032490000000000000004490000000000000002"
+    )
+
+
+def test_golden_snapshot_request_pins_the_read_path_format():
+    """v6 gave SnapshotRequest its ``from_height``: the gateway's
+    incremental read path, pinned like the rest of the contract."""
+    assert WIRE_CODEC.encode(SnapshotRequest()).hex() == "b7060007490000000000000000"
+    assert WIRE_CODEC.encode(SnapshotRequest(from_height=42)).hex() == (
+        "b706000749000000000000002a"
     )
 
 
@@ -312,11 +321,11 @@ def test_golden_metrics_frames_pin_the_scrape_format():
     """The in-band scrape types are part of the same pinned contract:
     the operator tooling (``python -m repro obs``, the gateway's
     ``/v1/cluster/metrics``) must interoperate across builds."""
-    assert WIRE_CODEC.encode(MetricsRequest()).hex() == "b705000b"
+    assert WIRE_CODEC.encode(MetricsRequest()).hex() == "b706000b"
     assert WIRE_CODEC.encode(
         MetricsReply(node_id=2, items=(("consensus.commits", 40.0),), events=5)
     ).hex() == (
-        "b705000c490000000000000002"
+        "b706000c490000000000000002"
         "550000000155000000025300000011636f6e73656e7375732e636f6d6d697473"
         "444044000000000000490000000000000005"
     )
@@ -328,14 +337,14 @@ def test_golden_durability_frames_pin_the_wal_format():
     every existing data dir, not just break a live connection)."""
     block = Block(slot=1, parent="genesis", payload=(), digest="d1")
     assert WIRE_CODEC.encode(WalAppend(seq=5, block=block)).hex() == (
-        "b7050050490000000000000005"
+        "b7060050490000000000000005"
         "430011490000000000000001530000000767656e65736973550000000053000000026431"
     )
     assert WIRE_CODEC.encode(WalSeal(seq=6, upto_slot=1, state_digest="sd")).hex() == (
-        "b705005149000000000000000649000000000000000153000000027364"
+        "b706005149000000000000000649000000000000000153000000027364"
     )
     assert WIRE_CODEC.encode(StateTransferRequest(since_slot=3)).hex() == (
-        "b7050009490000000000000003"
+        "b7060009490000000000000003"
     )
 
 

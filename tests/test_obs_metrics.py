@@ -76,6 +76,24 @@ def test_rate_is_events_per_second_over_the_window():
     assert hist.rate == 5.0  # 10 events / 2s window
 
 
+def test_rate_of_a_young_instrument_divides_by_its_age():
+    """Before a whole window has elapsed the rate is over the time the
+    instrument has existed, not the full window; after, over the window."""
+    clock = FakeClock(100.0)
+    hist = WindowedHistogram("commit", window=2.0, clock=clock)
+    clock.advance(0.5)
+    for _ in range(10):
+        hist.record(1.0)
+    assert hist.rate == 20.0  # 10 events / 0.5 s, not / 2 s
+    assert hist.stats()["rate"] == 20.0
+    clock.advance(1.0)
+    assert hist.rate == 10.0 / 1.5
+    clock.advance(1.0)  # age 2.5 s: capped at the window, samples still live
+    assert hist.rate == 5.0
+    clock.advance(1.0)  # the samples aged out
+    assert hist.rate == 0.0
+
+
 def test_percentiles_are_nearest_rank():
     clock = FakeClock()
     hist = WindowedHistogram("lat", window=100.0, clock=clock)

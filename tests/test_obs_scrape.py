@@ -73,6 +73,22 @@ def test_scrape_during_live_run_carries_the_metric_series(tmp_path):
         assert reply_metric(reply, "net.frames_in") > 0
 
 
+def test_a_forced_view_change_is_scraped_as_view_changes():
+    """Killing a replica forces view changes for the slots it leads.
+    Multishot TetraBFT enters those views by tracing ``VIEW_ENTER``
+    rather than through ``report_view_entry``; the scraped counter must
+    still see them."""
+    result = run_cluster_workload(
+        ClusterConfig(n=4, engine="tetrabft", deadline=25.0),
+        _schedule(30),
+        kill_after=(2, 0.3),
+    )
+    assert result.completed
+    assert set(result.scrapes) == {0, 1, 3}
+    counts = [reply_metric(reply, "consensus.view_changes") for reply in result.scrapes.values()]
+    assert max(counts) > 0, counts
+
+
 def test_shutdown_dumps_event_ring_next_to_the_wal(tmp_path):
     """Without REPRO_EVENT_LOG, a durable replica still dumps its ring
     tail to ``events.ndjson`` on clean shutdown — the forensics file

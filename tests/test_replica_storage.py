@@ -10,6 +10,7 @@ fatal.
 
 from __future__ import annotations
 
+import asyncio
 from types import SimpleNamespace
 
 import pytest
@@ -99,6 +100,34 @@ def test_wal_flushes_at_policy_limit_without_event_loop(tmp_path):
     records, torn = read_wal(tmp_path / "wal.log")
     assert len(records) == limit and not torn
     wal.close()
+
+
+def test_wal_append_after_close_neither_arms_a_timer_nor_writes(tmp_path):
+    """A block finalized while the replica shuts down reaches the WAL
+    after ``close``; under a running loop that used to arm the group-
+    commit timer, whose flush then wrote to the closed file."""
+    chain = make_chain(3)
+    path = tmp_path / "wal.log"
+
+    async def scenario():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        wal = WriteAheadLog(path, fsync_window=0.001)
+        wal.append_block(chain[0])
+        assert wal._timer is not None  # group commit pending under the loop
+        wal.close()
+        size = path.stat().st_size
+        wal.append_block(chain[1])
+        wal.append_block(chain[2])
+        assert wal._timer is None
+        await asyncio.sleep(0.02)  # many fsync windows
+        assert errors == []
+        assert path.stat().st_size == size
+        wal.flush()  # nothing pending: still a no-op
+
+    asyncio.run(scenario())
+    records, torn = read_wal(path)
+    assert [r.block for r in records] == chain[:1] and not torn
 
 
 def test_wal_torn_tail_partial_record(tmp_path):
@@ -450,6 +479,22 @@ def test_replica_offer_blocks_extends_the_bootstrapped_tip():
     assert [b.digest for b in replica.finalized_chain[:4]] == [
         b.digest for b in chain[:4]
     ]
+
+
+def test_disk_storage_ignores_blocks_executed_after_close(tmp_path):
+    """Shutdown closes storage while consensus may still finalize: a
+    later block is neither logged nor allowed to trigger a snapshot
+    (whose compaction would reopen the closed log)."""
+    chain = make_chain(4)
+    stub = stub_replica()
+    storage = DiskStorage(tmp_path, snapshot_interval=2)
+    execute(stub, storage, chain[0])
+    storage.close()
+    for block in chain[1:]:
+        execute(stub, storage, block)
+    assert storage.snapshots_taken == 0 and storage.wal.closed
+    recovered = DiskStorage(tmp_path, snapshot_interval=2).recover()
+    assert [b.digest for b in recovered.chain] == [chain[0].digest]
 
 
 def test_disk_storage_full_cycle_via_replica(tmp_path):
